@@ -349,6 +349,13 @@ const (
 // equally regardless of backing-array capacity (trailing zero words are
 // ignored). This is the hot-path replacement for hashing Key(): no
 // allocation, one multiply per word.
+//
+// A multiply carries only upward, so after the FNV fold the low bits of
+// h depend only on the low bits of each word, while hash tables index
+// by hash & mask. The finalizer folds the 128-bit product of h and
+// 2^64/φ, high half into low (wyhash's mum mix): the high half depends
+// on every bit of h. It costs one multiply, where murmur3's fmix64
+// costs two and made a conversion-bound compile about 5% slower.
 func (s *Set) Hash() uint64 {
 	n := len(s.words)
 	for n > 0 && s.words[n-1] == 0 {
@@ -359,7 +366,8 @@ func (s *Set) Hash() uint64 {
 		h ^= w
 		h *= fnvPrime64
 	}
-	return h
+	hi, lo := bits.Mul64(h, 0x9e3779b97f4a7c15)
+	return hi ^ lo
 }
 
 // Compare orders sets exactly as strings.Compare orders their Key()

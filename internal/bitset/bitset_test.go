@@ -241,6 +241,27 @@ func TestQuickHashMatchesEqual(t *testing.T) {
 	}
 }
 
+// TestHashLowBitsSpread: hash tables index by hash & mask, so sets that
+// differ only in the high bits of their words must still spread over
+// the low bits. Without Hash's finalizer, these 4,096 sets, which
+// differ only in bits 32–63 of two words, all share one low-12-bit
+// bucket.
+func TestHashLowBitsSpread(t *testing.T) {
+	const n = 4096
+	buckets := map[uint64]bool{}
+	for i := 0; i < n; i++ {
+		s := FromWords([]uint64{
+			0x5<<3 | uint64(i%64)<<40,
+			0x9 | uint64(i/64)<<50,
+			0x1,
+		})
+		buckets[s.Hash()&(n-1)] = true
+	}
+	if len(buckets) < 2000 {
+		t.Fatalf("%d sets fill %d of %d low-12-bit buckets, want >= 2000", n, len(buckets), n)
+	}
+}
+
 func TestQuickCompareMatchesKeyOrder(t *testing.T) {
 	if err := quick.Check(func(ra, rb []uint16) bool {
 		a, b := Of(randomIDs(ra)...), Of(randomIDs(rb)...)

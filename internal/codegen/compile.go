@@ -92,7 +92,10 @@ func compileMeta(a *msc.Automaton, ms *msc.MetaState, opt Options) (*simd.MetaCo
 		members = append(members, b)
 	}
 
-	// Body: one guarded slot per instruction, optionally CSI-merged.
+	// Body: one guarded slot per instruction, optionally CSI-merged,
+	// then at most one terminator slot per member. Sizing Slots up front
+	// spares the append growth copies of this large element type; an
+	// empty meta state keeps nil Slots.
 	if opt.CSI {
 		threads := make([]csi.Thread, len(members))
 		for i, b := range members {
@@ -111,6 +114,7 @@ func compileMeta(a *msc.Automaton, ms *msc.MetaState, opt Options) (*simd.MetaCo
 		}
 		opt.Metrics.Add(obs.CounterCSISavedCycles, int64(sched.Saved()))
 		opt.Metrics.Add(obs.CounterCSISlotsSaved, int64(sched.SlotsSaved()))
+		mc.Slots = makeSlots(len(sched.Slots) + len(members))
 		for _, sl := range sched.Slots {
 			// A CSI-merged slot serves every state in its guard; the
 			// minimum member is the deterministic representative the
@@ -124,6 +128,11 @@ func compileMeta(a *msc.Automaton, ms *msc.MetaState, opt Options) (*simd.MetaCo
 			})
 		}
 	} else {
+		n := len(members)
+		for _, b := range members {
+			n += len(b.Code)
+		}
+		mc.Slots = makeSlots(n)
 		for _, b := range members {
 			guard := bitset.Of(b.ID)
 			for _, in := range b.Code {
@@ -166,11 +175,14 @@ func compileMeta(a *msc.Automaton, ms *msc.MetaState, opt Options) (*simd.MetaCo
 	}
 
 	// Transition encoding (§3.2).
-	for _, to := range ms.Trans {
-		mc.Trans.Entries = append(mc.Trans.Entries, simd.DispatchEntry{
+	if len(ms.Trans) > 0 {
+		mc.Trans.Entries = make([]simd.DispatchEntry, len(ms.Trans))
+	}
+	for i, to := range ms.Trans {
+		mc.Trans.Entries[i] = simd.DispatchEntry{
 			Key: a.States[to].Set.Clone(),
 			To:  to,
-		})
+		}
 	}
 	opt.Metrics.Add(obs.CounterDispatchEntries, int64(len(mc.Trans.Entries)))
 	switch {
@@ -190,6 +202,15 @@ func compileMeta(a *msc.Automaton, ms *msc.MetaState, opt Options) (*simd.MetaCo
 		}
 	}
 	return mc, nil
+}
+
+// makeSlots returns an empty slot slice with room for n slots, or nil
+// when n is 0.
+func makeSlots(n int) []simd.Slot {
+	if n == 0 {
+		return nil
+	}
+	return make([]simd.Slot, 0, n)
 }
 
 // maxHashedWays bounds the switch width worth a customized hash: wider

@@ -29,6 +29,7 @@ package csi
 
 import (
 	"fmt"
+	"slices"
 
 	"msc/internal/bitset"
 	"msc/internal/ir"
@@ -43,7 +44,8 @@ type Thread struct {
 }
 
 // Slot is one scheduled broadcast: the instruction and the union of the
-// guards of every thread that executes it.
+// guards of every thread that executes it. A slot that only one thread
+// executes shares that Thread's Guard set, so guards are read-only.
 type Slot struct {
 	Guard *bitset.Set
 	Instr ir.Instr
@@ -89,18 +91,6 @@ func Induce(threads []Thread) (*Schedule, error) {
 
 // InduceLimited is Induce under a search budget.
 func InduceLimited(threads []Thread, lim Limits) (*Schedule, error) {
-	// Instruction identity here is value identity: two instructions are
-	// the same broadcast iff op/imm/type/symbol agree. Source positions
-	// are diagnostic-only and must not split classes, so work on
-	// canonicalized copies (the schedule's slots carry no positions).
-	threads = append([]Thread(nil), threads...)
-	for i := range threads {
-		code := make([]ir.Instr, len(threads[i].Code))
-		for j, in := range threads[i].Code {
-			code[j] = in.Canon()
-		}
-		threads[i].Code = code
-	}
 	for i := range threads {
 		if threads[i].Guard == nil || threads[i].Guard.Empty() {
 			return nil, fmt.Errorf("csi: thread %d has empty guard", i)
@@ -119,8 +109,9 @@ func InduceLimited(threads []Thread, lim Limits) (*Schedule, error) {
 		naiveSlots += len(t.Code)
 	}
 
-	sched := &Schedule{NaiveCost: naive, NaiveSlots: naiveSlots, LowerBound: lowerBound(threads)}
-	g := buildGraph(threads)
+	code, classes := classify(threads)
+	sched := &Schedule{NaiveCost: naive, NaiveSlots: naiveSlots, LowerBound: lowerBound(code, classes)}
+	g := buildGraph(threads, code, classes)
 	if err := g.improve(lim.MaxCandidates); err != nil {
 		return nil, err
 	}
@@ -135,21 +126,55 @@ func InduceLimited(threads []Thread, lim Limits) (*Schedule, error) {
 	return sched, nil
 }
 
-// lowerBound computes the classic class-count bound: for each distinct
-// instruction value, at least max-per-thread occurrences must be
-// broadcast no matter how threads share.
-func lowerBound(threads []Thread) int {
-	type class struct{ max, cur int }
-	classes := make(map[ir.Instr]*class)
+// classify interns each distinct instruction of the threads to a class
+// ID, so alignment, merging and the lower bound compare integers
+// instead of instruction structs. Instruction identity is value
+// identity: two instructions are the same broadcast iff
+// op/imm/type/symbol agree. Source positions are diagnostic-only and
+// must not split classes, so classes[c] is class c's canonicalized
+// instruction (the schedule's slots carry no positions). code[t][j] is
+// the class of thread t's j-th instruction.
+//
+// The lookup is a linear scan of the classes: a meta state has a few
+// dozen instructions, and one instruction's scan costs no more than its
+// column of the alignment table.
+func classify(threads []Thread) (code [][]int32, classes []ir.Instr) {
+	total := 0
 	for _, t := range threads {
-		for k := range classes {
-			classes[k].cur = 0
+		total += len(t.Code)
+	}
+	ids := make([]int32, total)
+	code = make([][]int32, len(threads))
+	classes = make([]ir.Instr, 0, total)
+	for i, t := range threads {
+		code[i], ids = ids[:len(t.Code):len(t.Code)], ids[len(t.Code):]
+		for j, in := range t.Code {
+			in = in.Canon()
+			c := slices.Index(classes, in)
+			if c < 0 {
+				c = len(classes)
+				classes = append(classes, in)
+			}
+			code[i][j] = int32(c)
 		}
-		for _, in := range t.Code {
-			c := classes[in]
-			if c == nil {
-				c = &class{}
-				classes[in] = c
+	}
+	return code, classes
+}
+
+// lowerBound computes the classic class-count bound: for each distinct
+// instruction class, at least max-per-thread occurrences must be
+// broadcast no matter how threads share. code and classes are
+// classify's.
+func lowerBound(code [][]int32, classes []ir.Instr) int {
+	// last is the thread (plus one) that cur counts, so moving to the
+	// next thread resets a class lazily instead of sweeping them all.
+	type count struct{ max, cur, last int }
+	counts := make([]count, len(classes))
+	for t, ids := range code {
+		for _, id := range ids {
+			c := &counts[id]
+			if c.last != t+1 {
+				c.last, c.cur = t+1, 0
 			}
 			c.cur++
 			if c.cur > c.max {
@@ -158,8 +183,8 @@ func lowerBound(threads []Thread) int {
 		}
 	}
 	lb := 0
-	for in, c := range classes {
-		lb += c.max * in.Cost()
+	for id, c := range counts {
+		lb += c.max * classes[id].Cost()
 	}
 	return lb
 }
@@ -167,7 +192,10 @@ func lowerBound(threads []Thread) int {
 // ---- Precedence graph -------------------------------------------------------
 
 type node struct {
-	instr ir.Instr
+	class int32 // the node's instruction class (see classify)
+	// guard is the union of the guards of the threads that execute the
+	// node. An unshared node holds its thread's Guard itself: guards are
+	// never mutated in place, only replaced by a fresh Union.
 	guard *bitset.Set
 	// id is the node's index in graph.nodes (stable across merges; dead
 	// nodes keep theirs), used to address reachability bitmaps.
@@ -182,16 +210,54 @@ type graph struct {
 	// chains[t] lists thread t's nodes in program order.
 	chains  [][]*node
 	threads []Thread
+	// code[t] is thread t's code as class IDs; classes maps a class ID
+	// to its canonical instruction.
+	code    [][]int32
+	classes []ir.Instr
+
+	// Storage carved up or reused so that a schedule allocates per meta
+	// state, not per node, thread or merge round (guard unions aside):
+	// slab and seqs back the nodes and their seq arrays (at most one
+	// node per instruction), dp is the flat alignment table sized for the
+	// largest thread's, spare the order buffer alignThread fills next,
+	// reach the closure bitmaps.
+	slab  []node
+	seqs  []int
+	dp    []int32
+	spare []*node
+	reach reachability
 }
 
 // buildGraph seeds the schedule by progressive alignment: thread 0's
 // code becomes the initial chain; each later thread is aligned against
 // the current node order with a cost-weighted LCS.
-func buildGraph(threads []Thread) *graph {
-	g := &graph{threads: threads, chains: make([][]*node, len(threads))}
-	order := []*node{}
-	for t, th := range threads {
-		order = g.alignThread(order, t, th)
+func buildGraph(threads []Thread, code [][]int32, classes []ir.Instr) *graph {
+	total := 0
+	for _, c := range code {
+		total += len(c)
+	}
+	g := &graph{
+		threads: threads, code: code, classes: classes,
+		chains: make([][]*node, len(threads)),
+		nodes:  make([]*node, 0, total),
+		slab:   make([]node, 0, total),
+		seqs:   make([]int, total*len(threads)),
+		spare:  make([]*node, 0, total),
+	}
+	// Before thread t is aligned the order holds at most the
+	// instructions of threads 0..t-1, which bounds that thread's table.
+	dpSize, prefix := 0, 0
+	for _, c := range code {
+		dpSize = max(dpSize, (prefix+1)*(len(c)+1))
+		prefix += len(c)
+	}
+	g.dp = make([]int32, dpSize)
+	chains := make([]*node, total)
+	order := make([]*node, 0, total)
+	for t := range threads {
+		n := len(code[t])
+		g.chains[t], chains = chains[:0:n], chains[n:]
+		order = g.alignThread(order, t)
 	}
 	return g
 }
@@ -199,45 +265,48 @@ func buildGraph(threads []Thread) *graph {
 // alignThread merges thread t's code into the existing slot order,
 // maximizing the cost of matched (shared) instructions; returns the new
 // global order.
-func (g *graph) alignThread(order []*node, t int, th Thread) []*node {
-	n, m := len(order), len(th.Code)
-	// dp[i][j]: best saved cost aligning order[i:] with code[j:].
-	dp := make([][]int, n+1)
-	for i := range dp {
-		dp[i] = make([]int, m+1)
-	}
+func (g *graph) alignThread(order []*node, t int) []*node {
+	guard, code := g.threads[t].Guard, g.code[t]
+	n, m := len(order), len(code)
+	// dp[i*w+j]: best saved cost aligning order[i:] with code[j:]. Row n
+	// and column m are the zero boundary; every other cell is written
+	// before it is read.
+	w := m + 1
+	dp := g.dp[:(n+1)*w]
+	clear(dp[n*w:])
 	for i := n - 1; i >= 0; i-- {
+		dp[i*w+m] = 0
 		for j := m - 1; j >= 0; j-- {
-			best := dp[i+1][j] // leave slot unshared
-			if v := dp[i][j+1]; v > best {
+			best := dp[(i+1)*w+j] // leave slot unshared
+			if v := dp[i*w+j+1]; v > best {
 				best = v // emit instruction as its own new slot
 			}
-			if order[i].instr == th.Code[j] {
-				if v := dp[i+1][j+1] + th.Code[j].Cost(); v > best {
+			if order[i].class == code[j] {
+				if v := dp[(i+1)*w+j+1] + int32(g.classes[code[j]].Cost()); v > best {
 					best = v
 				}
 			}
-			dp[i][j] = best
+			dp[i*w+j] = best
 		}
 	}
 
-	var out []*node
-	chain := make([]*node, 0, m)
+	out := g.spare[:0]
+	chain := g.chains[t]
 	i, j := 0, 0
 	for i < n || j < m {
 		switch {
-		case i < n && j < m && order[i].instr == th.Code[j] &&
-			dp[i][j] == dp[i+1][j+1]+th.Code[j].Cost():
-			order[i].guard = order[i].guard.Union(th.Guard)
+		case i < n && j < m && order[i].class == code[j] &&
+			dp[i*w+j] == dp[(i+1)*w+j+1]+int32(g.classes[code[j]].Cost()):
+			order[i].guard = order[i].guard.Union(guard)
 			order[i].seq[t] = len(chain)
 			chain = append(chain, order[i])
 			out = append(out, order[i])
 			i, j = i+1, j+1
-		case i < n && (j >= m || dp[i][j] == dp[i+1][j]):
+		case i < n && (j >= m || dp[i*w+j] == dp[(i+1)*w+j]):
 			out = append(out, order[i])
 			i++
 		default:
-			nd := g.newNode(th.Code[j], th.Guard)
+			nd := g.newNode(code[j], guard)
 			nd.seq[t] = len(chain)
 			chain = append(chain, nd)
 			out = append(out, nd)
@@ -245,11 +314,15 @@ func (g *graph) alignThread(order []*node, t int, th Thread) []*node {
 		}
 	}
 	g.chains[t] = chain
+	g.spare = order[:0]
 	return out
 }
 
-func (g *graph) newNode(in ir.Instr, guard *bitset.Set) *node {
-	nd := &node{instr: in, guard: guard.Clone(), id: len(g.nodes), seq: make([]int, len(g.threads))}
+func (g *graph) newNode(class int32, guard *bitset.Set) *node {
+	nt := len(g.threads)
+	g.slab = append(g.slab, node{class: class, guard: guard, id: len(g.nodes), seq: g.seqs[:nt:nt]})
+	g.seqs = g.seqs[nt:]
+	nd := &g.slab[len(g.slab)-1]
 	for i := range nd.seq {
 		nd.seq[i] = -1
 	}
@@ -257,39 +330,46 @@ func (g *graph) newNode(in ir.Instr, guard *bitset.Set) *node {
 	return nd
 }
 
-// succs returns the immediate per-thread successors of nd.
-func (g *graph) succs(nd *node) []*node {
-	var out []*node
-	for t, pos := range nd.seq {
-		if pos >= 0 && pos+1 < len(g.chains[t]) {
-			out = append(out, g.chains[t][pos+1])
-		}
-	}
-	return out
-}
-
 // reachability is the transitive closure of the precedence DAG as one
-// bitmap per node: reach[a.id] has bit b.id set iff a path of precedence
-// edges leads from a to b (excluding a itself). improve recomputes it
-// once per merge instead of running a DFS per candidate pair — the old
-// per-query DFS made each improvement round quadratic in pairs times
-// linear in graph size.
+// bitmap per node: bits[a.id*words:] has bit b.id set iff a path of
+// precedence edges leads from a to b (excluding a itself). improve
+// recomputes it once per merge instead of running a DFS per candidate
+// pair — the old per-query DFS made each improvement round quadratic in
+// pairs times linear in graph size. The bitmaps live in one flat array
+// the graph reuses across rounds.
 type reachability struct {
 	words int
-	bits  [][]uint64
+	bits  []uint64
+	done  []bool
 }
 
 func (g *graph) closure() *reachability {
 	n := len(g.nodes)
-	r := &reachability{words: (n + 63) / 64, bits: make([][]uint64, n)}
+	r := &g.reach
+	r.words = (n + 63) / 64
+	if need := n * r.words; cap(r.bits) < need {
+		r.bits = make([]uint64, need)
+	} else {
+		r.bits = r.bits[:need]
+		clear(r.bits)
+	}
+	if len(r.done) != n {
+		r.done = make([]bool, n)
+	} else {
+		clear(r.done)
+	}
 	var dfs func(nd *node) []uint64
 	dfs = func(nd *node) []uint64 {
-		if r.bits[nd.id] != nil {
-			return r.bits[nd.id]
+		b := r.bits[nd.id*r.words : (nd.id+1)*r.words]
+		if r.done[nd.id] {
+			return b
 		}
-		b := make([]uint64, r.words)
-		r.bits[nd.id] = b // written before recursing; sound on a DAG
-		for _, s := range g.succs(nd) {
+		r.done[nd.id] = true // set before recursing; sound on a DAG
+		for t, pos := range nd.seq {
+			if pos < 0 || pos+1 >= len(g.chains[t]) {
+				continue
+			}
+			s := g.chains[t][pos+1] // nd's successor in thread t
 			b[s.id/64] |= 1 << (uint(s.id) % 64)
 			for i, w := range dfs(s) {
 				b[i] |= w
@@ -311,7 +391,7 @@ func (r *reachability) reaches(a, b *node) bool {
 	if a == b {
 		return true
 	}
-	return r.bits[a.id][b.id/64]>>(uint(b.id)%64)&1 == 1
+	return r.bits[a.id*r.words+b.id/64]>>(uint(b.id)%64)&1 == 1
 }
 
 // improve is the permutation-in-range search: repeatedly merge the most
@@ -330,7 +410,7 @@ func (g *graph) improve(maxCandidates int64) error {
 				continue
 			}
 			for _, b := range g.nodes[i+1:] {
-				if b.dead || a.instr != b.instr || a.instr.Cost() <= bestCost {
+				if b.dead || a.class != b.class || g.classes[a.class].Cost() <= bestCost {
 					continue
 				}
 				if candidates++; maxCandidates > 0 && candidates > maxCandidates {
@@ -346,7 +426,7 @@ func (g *graph) improve(maxCandidates int64) error {
 					continue
 				}
 				bestA, bestB = a, b
-				bestCost = a.instr.Cost()
+				bestCost = g.classes[a.class].Cost()
 			}
 		}
 		if bestA == nil {
@@ -373,12 +453,18 @@ func (g *graph) improve(maxCandidates int64) error {
 // the malformed meta state.
 func (g *graph) linearize() ([]Slot, error) {
 	next := make([]int, len(g.threads)) // next unscheduled position per chain
-	var slots []Slot
-	scheduled := map[*node]bool{}
+	live := 0
+	for _, nd := range g.nodes {
+		if !nd.dead {
+			live++
+		}
+	}
+	slots := make([]Slot, 0, live)
+	scheduled := make([]bool, len(g.nodes)) // by node id
 	for {
 		var pick *node
 		for t := range g.chains {
-			for next[t] < len(g.chains[t]) && scheduled[g.chains[t][next[t]]] {
+			for next[t] < len(g.chains[t]) && scheduled[g.chains[t][next[t]].id] {
 				next[t]++
 			}
 			if next[t] >= len(g.chains[t]) {
@@ -413,16 +499,16 @@ func (g *graph) linearize() ([]Slot, error) {
 			return nil, fmt.Errorf("csi: precedence cycle in linearize (merge bug; %d of %d nodes scheduled)",
 				len(slots), len(g.nodes))
 		}
-		scheduled[pick] = true
-		slots = append(slots, Slot{Guard: pick.guard, Instr: pick.instr})
+		scheduled[pick.id] = true
+		slots = append(slots, Slot{Guard: pick.guard, Instr: g.classes[pick.class]})
 	}
 }
 
 // allScheduledBefore reports whether every node before pos in chain is
 // already scheduled.
-func allScheduledBefore(chain []*node, pos int, scheduled map[*node]bool) bool {
+func allScheduledBefore(chain []*node, pos int, scheduled []bool) bool {
 	for i := 0; i < pos; i++ {
-		if !scheduled[chain[i]] {
+		if !scheduled[chain[i].id] {
 			return false
 		}
 	}

@@ -17,6 +17,7 @@ package hashgen
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"msc/internal/simd"
 )
@@ -45,87 +46,132 @@ func Find(keys []uint64) (*simd.HashFn, error) {
 	return h, err
 }
 
+// maxTableBits caps the jump table at 2^16 entries.
+const maxTableBits = 16
+
 // Search is Find plus observability: it also reports how many candidate
 // functions were evaluated before the winner (or exhaustion), the
 // search-effort number the compile metrics record.
+//
+// Candidates are evaluated as one stack value against one reused
+// bitmap, so the search allocates a fixed handful of times however many
+// candidates it tries; only the winner is copied to the heap.
 func Search(keys []uint64) (*simd.HashFn, int, error) {
 	tried := 0
 	if len(keys) == 0 {
 		return nil, tried, fmt.Errorf("hashgen: no keys")
 	}
-	seen := make(map[uint64]bool, len(keys))
-	for _, k := range keys {
-		if seen[k] {
-			return nil, tried, fmt.Errorf("hashgen: duplicate key %#x", k)
-		}
-		seen[k] = true
+	if k, dup := duplicate(keys); dup {
+		return nil, tried, fmt.Errorf("hashgen: duplicate key %#x", k)
 	}
 
 	minBits := bits.Len(uint(len(keys) - 1))
 	if len(keys) == 1 {
 		minBits = 0
 	}
-	for b := minBits; b <= minBits+4 && b <= 16; b++ {
+	maxBits := minBits + 4
+	if maxBits > maxTableBits {
+		maxBits = maxTableBits
+	}
+	// used is the collision bitmap for tables wider than one word; each
+	// miss clears only the bits it set, so it stays zeroed between
+	// candidates.
+	var used []uint64
+	if maxBits > 6 {
+		used = make([]uint64, 1<<uint(maxBits-6))
+	}
+	for b := minBits; b <= maxBits; b++ {
 		mask := uint64(1)<<uint(b) - 1
 
+		// Each form sets its fixed fields once and then only the swept
+		// ones per candidate.
+
 		// Form 1: single shift.
+		h := simd.HashFn{Mask: mask, EvalCost: costShift}
 		for a := 0; a < 64; a++ {
-			h := &simd.HashFn{ShiftA: a, Mask: mask, EvalCost: costShift}
+			h.ShiftA = a
 			tried++
-			if perfect(h, keys) {
-				return h, tried, nil
+			if perfect(&h, keys, used) {
+				return winner(h), tried, nil
 			}
 		}
 		// Form 2: xor of two shifts (the Listing 5 shape).
+		h = simd.HashFn{UseB: true, Mask: mask, EvalCost: costXor}
 		for a := 0; a < 64; a++ {
 			for c := a + 1; c < 64; c++ {
-				h := &simd.HashFn{ShiftA: a, ShiftB: c, UseB: true, Mask: mask, EvalCost: costXor}
+				h.ShiftA, h.ShiftB = a, c
 				tried++
-				if perfect(h, keys) {
-					return h, tried, nil
+				if perfect(&h, keys, used) {
+					return winner(h), tried, nil
 				}
 			}
 		}
 		// Form 3: multiplicative. ShiftA=64 zeroes the plain term.
+		h = simd.HashFn{ShiftA: 64, UseMul: true, Mask: mask, EvalCost: costMul}
 		for _, m := range multipliers {
 			for s := 64 - b; s >= 32; s -= 4 {
-				h := &simd.HashFn{
-					ShiftA: 64, UseMul: true, Mul: m, ShiftM: s,
-					Mask: mask, EvalCost: costMul,
-				}
+				h.Mul, h.ShiftM = m, s
 				tried++
-				if perfect(h, keys) {
-					return h, tried, nil
+				if perfect(&h, keys, used) {
+					return winner(h), tried, nil
 				}
 			}
 		}
 	}
 	return nil, tried, fmt.Errorf("hashgen: no perfect hash found for %d keys within table size 2^%d",
-		len(keys), minBits+4)
+		len(keys), maxBits)
 }
 
-// perfect reports whether h maps every key to a distinct index.
-func perfect(h *simd.HashFn, keys []uint64) bool {
-	var small [64]bool
-	var used map[uint64]bool
-	if h.Mask >= uint64(len(small)) {
-		used = make(map[uint64]bool, len(keys))
-	}
-	for _, k := range keys {
-		idx := h.Index(k)
-		if used != nil {
-			if used[idx] {
-				return false
-			}
-			used[idx] = true
-		} else {
-			if small[idx] {
-				return false
-			}
-			small[idx] = true
+// winner copies the successful candidate to the heap.
+func winner(h simd.HashFn) *simd.HashFn {
+	w := new(simd.HashFn)
+	*w = h
+	return w
+}
+
+// duplicate returns a key that occurs more than once in keys, if any.
+func duplicate(keys []uint64) (uint64, bool) {
+	sorted := append([]uint64(nil), keys...)
+	slices.Sort(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return sorted[i], true
 		}
 	}
-	return true
+	return 0, false
+}
+
+// perfect reports whether h maps every key to a distinct index. Tables
+// of up to 64 entries use a one-word bitmap in a register; wider ones
+// use used, a zeroed bitmap of at least h.Mask+1 bits, which perfect
+// returns zeroed again.
+func perfect(h *simd.HashFn, keys []uint64, used []uint64) bool {
+	if h.Mask < 64 {
+		var small uint64
+		for _, k := range keys {
+			bit := uint64(1) << h.Index(k)
+			if small&bit != 0 {
+				return false
+			}
+			small |= bit
+		}
+		return true
+	}
+	ok, n := true, len(keys)
+	for i, k := range keys {
+		idx := h.Index(k)
+		w, bit := idx/64, uint64(1)<<(idx%64)
+		if used[w]&bit != 0 {
+			ok, n = false, i
+			break
+		}
+		used[w] |= bit
+	}
+	for _, k := range keys[:n] {
+		idx := h.Index(k)
+		used[idx/64] &^= 1 << (idx % 64)
+	}
+	return ok
 }
 
 // TableDensity reports how full the jump table is: keys / table size.

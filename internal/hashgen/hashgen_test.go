@@ -158,6 +158,22 @@ func BenchmarkFindSmall(b *testing.B) {
 	}
 }
 
+// BenchmarkSearchWide searches 24–32-key dispatches, whose tables have
+// 64 entries or more.
+func BenchmarkSearchWide(b *testing.B) {
+	r := rand.New(rand.NewSource(5))
+	var sets [][]uint64
+	for n := 24; n <= 32; n++ {
+		sets = append(sets, randomKeys(r, n))
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Find(sets[i%len(sets)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkHashDispatch(b *testing.B) {
 	keys := []uint64{1 << 2, 1 << 6, 1<<2 | 1<<6, 1 << 9, 1<<2 | 1<<9}
 	h, err := Find(keys)
