@@ -150,8 +150,11 @@ type Config struct {
 	MaxStates int
 	// ConvertWorkers bounds the conversion worker pool that expands the
 	// meta-state frontier in parallel: 0 uses all of GOMAXPROCS, 1
-	// forces the sequential path. The automaton is byte-identical for
-	// any value (see docs/PERFORMANCE.md); the knob only trades compile
+	// forces the sequential path. The pool works through each BFS
+	// generation in windows of 256 states, committing each window before
+	// expanding the next, so a Limits trip or cancellation wastes at most
+	// one window of expansions. The automaton is byte-identical for any
+	// value (see docs/PERFORMANCE.md); the knob only trades compile
 	// wall-clock for cores.
 	ConvertWorkers int
 	// Vet fails Compile when the static analyzer finds error-severity

@@ -6,9 +6,11 @@
 package msc_test
 
 import (
+	"os"
 	"testing"
 
 	"msc"
+	"msc/internal/cfg"
 	"msc/internal/harness"
 	"msc/internal/hashgen"
 	metastate "msc/internal/msc"
@@ -442,6 +444,36 @@ func BenchmarkP4TimeSplitLarge(b *testing.B) {
 		splits = c.Automaton.Splits
 	}
 	b.ReportMetric(float64(splits), "splits")
+}
+
+// BenchmarkP5BudgetTrip: time to fail at the §1.2 guard — uncompressed
+// testdata/robust/deepnest.mc against a 16384-state cap, whose trip
+// lands mid-generation, sequential vs worker pool. The pool expands at
+// most one frontier window past the trip, so par should cost about what
+// seq does rather than the whole tripping generation.
+func BenchmarkP5BudgetTrip(b *testing.B) {
+	src, err := os.ReadFile("testdata/robust/deepnest.mc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := cfg.Simplify(cfg.MustBuild(string(src)))
+	for _, mode := range []struct {
+		name    string
+		workers int
+	}{{"seq", 1}, {"par", 0}} {
+		b.Run(mode.name, func(b *testing.B) {
+			opt := metastate.DefaultOptions(false)
+			opt.MaxStates = 1 << 14
+			opt.Workers = mode.workers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := metastate.Convert(g, opt); err == nil {
+					b.Fatal("expected explosion guard")
+				}
+			}
+		})
+	}
 }
 
 // ---- Telemetry overhead (see docs/OBSERVABILITY.md) ------------------------

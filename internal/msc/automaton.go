@@ -142,7 +142,7 @@ func (a *Automaton) RawSuccessors(set *bitset.Set) []*bitset.Set {
 		}
 		a.exp = newExpander(a.G, a.Barriers, a.Opt, memo, nil)
 	}
-	return a.exp.expand(set).raw
+	return a.exp.expand(set, nil).raw
 }
 
 // Reindex rebuilds the hash-consed set→ID index from States. Conversion

@@ -129,4 +129,49 @@ func TestConvertCancelManyWorkers(t *testing.T) {
 			t.Fatalf("k=%d: %v", k, lerr)
 		}
 	}
+
+	// Windows of three slots, with every generation on the pool, make
+	// the commit of a window's last state a cancellation point between
+	// windows: the next window's workers start canceled, claim nothing,
+	// and must still drain. Cancel after every intern count of the
+	// uncompressed automaton, whose generations span several windows,
+	// and require that some cancel lands between two windows of one
+	// generation: every expanded state reached the commit loop, and the
+	// next state belongs to the same generation.
+	forceWindow(t, 3)
+	parallelFrontierMin = 1
+	opt = DefaultOptions(false)
+	opt.Workers = 8
+	pristine, err := Convert(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	level := bfsLevels(pristine, pristine.NumStates())
+	between := 0
+	for k := 1; k <= pristine.NumStates(); k++ {
+		leak := faultinject.LeakCheck()
+		ctx, cancel := context.WithCancel(context.Background())
+		deactivate := faultinject.Activate(&faultinject.Plan{
+			Fault:  faultinject.CancelAfterStates,
+			States: k,
+			Cancel: cancel,
+		})
+		c := testConverter(ctx, g, opt)
+		_, _, err := c.convertOnce()
+		deactivate()
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("k=%d: want context.Canceled, got %v", k, err)
+		}
+		if lerr := leak(); lerr != nil {
+			t.Fatalf("k=%d: %v", k, lerr)
+		}
+		j := c.curIdx
+		if j >= 0 && j+1 < len(level) && level[j+1] == level[j] && expansions(c) == int64(j)+1 {
+			between++
+		}
+	}
+	if between == 0 {
+		t.Fatal("no cancellation landed between two windows of a generation")
+	}
 }

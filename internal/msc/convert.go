@@ -52,8 +52,11 @@ type Options struct {
 	// compressed all-targets contribution.
 	MaxRetSubsets int
 	// Workers bounds the frontier-expansion worker pool: 1 forces the
-	// sequential path, 0 uses GOMAXPROCS. Any value yields a
-	// byte-identical automaton (see docs/PERFORMANCE.md for the
+	// sequential path, 0 uses GOMAXPROCS. The pool expands each BFS
+	// generation in windows of frontierWindow states, committing one
+	// window before expanding the next, so a budget trip, restart, or
+	// cancellation discards at most one window of work. Any value yields
+	// a byte-identical automaton (see docs/PERFORMANCE.md for the
 	// determinism argument); Workers only trades wall-clock for cores.
 	Workers int
 	// MaxMemBytes bounds the converter's approximate memory high-water
@@ -125,6 +128,13 @@ func (o *Options) fillDefaults() {
 // package variable so the determinism property test can force the
 // parallel path onto small corpora.
 var parallelFrontierMin = 32
+
+// frontierWindow is how many frontier slots the worker pool expands
+// before the commit step consumes them. It bounds the expansions a
+// budget trip, §2.4 restart, or cancellation discards, and the sets
+// held by uncommitted expansions, independently of generation width. A
+// package variable so tests can force generations across many windows.
+var frontierWindow = 256
 
 // Convert builds the meta-state automaton for a MIMD state graph. The
 // graph is cloned first; when time splitting runs, the automaton's G
@@ -202,6 +212,7 @@ type converter struct {
 	pool     setPool
 	exps     []*expander // exps[0] drives sequential generations
 	msFree   []*MetaState
+	results  []expansion // one window's expansions, reused across windows
 
 	// per-pass state
 	a      *Automaton
@@ -312,7 +323,8 @@ func (c *converter) approxMemBytes() int64 {
 }
 
 // checkCtx surfaces cooperative cancellation; called once per committed
-// meta state, so cancellation latency is one state's expansion.
+// meta state. Pool workers also stop claiming slots once ctx is done, so
+// a cancellation discards at most the rest of one window.
 func (c *converter) checkCtx() error {
 	if c.ctx == nil {
 		return nil
@@ -347,10 +359,14 @@ func (c *converter) newMetaState(set *bitset.Set) *MetaState {
 // processes states in exactly ID order; a generation [lo, hi) therefore
 // reproduces one BFS level. Expansion (the expensive cartesian-product
 // enumeration) is read-only against the graph and memo, so a generation
-// can fan out across workers; the commit step then walks the results in
-// ID order and performs every intern, transition append, and time-split
-// check exactly as the sequential loop would. The automaton that falls
-// out is byte-identical for any worker count.
+// can fan out across workers. It does so one window of frontierWindow
+// slots at a time: the commit step walks each window's results in ID
+// order, performing every intern, transition append, and time-split
+// check exactly as the sequential loop would, before the next window is
+// expanded. The automaton that falls out is byte-identical for any
+// worker count, and a budget trip, restart, or cancellation discards at
+// most one window of expansions. The sequential path is the same loop
+// with a window of one, expanded inline.
 func (c *converter) convertOnce() (a *Automaton, didSplit bool, err error) {
 	c.beginPass()
 	a = c.a
@@ -363,20 +379,27 @@ func (c *converter) convertOnce() (a *Automaton, didSplit bool, err error) {
 
 	for gen, genStart := 0, 0; genStart < len(a.States); gen++ {
 		genEnd := len(a.States)
-		frontier := a.States[genStart:genEnd]
 		gspan := c.opt.Trace.StartSpan("convert.generation", c.opt.TraceParent,
-			telemetry.Int("gen", int64(gen)), telemetry.Int("frontier", int64(len(frontier))))
+			telemetry.Int("gen", int64(gen)), telemetry.Int("frontier", int64(genEnd-genStart)))
 
-		if c.opt.Workers > 1 && len(frontier) >= parallelFrontierMin {
-			results := c.expandParallel(frontier, gspan)
-			for i, ms := range frontier {
+		parallel := c.opt.Workers > 1 && genEnd-genStart >= parallelFrontierMin
+		window := 1
+		if parallel {
+			window = frontierWindow
+			c.parallelGens++
+		}
+		for lo := genStart; lo < genEnd; lo += window {
+			states := a.States[lo:min(lo+window, genEnd)]
+			results := c.expandWindow(states, parallel, gspan)
+			for i, ms := range states {
 				if err := c.checkCtx(); err != nil {
 					gspan.End()
 					return nil, false, err
 				}
-				c.curIdx = genStart + i
+				c.curIdx = lo + i
 				if c.opt.TimeSplit {
 					if changed := timeSplitState(c.g, ms.Set, c.opt); len(changed) > 0 {
+						c.release(results[i:])
 						c.memo.invalidate(changed)
 						gspan.Event("restart", telemetry.Int("split_blocks", int64(len(changed))))
 						gspan.End()
@@ -384,27 +407,6 @@ func (c *converter) convertOnce() (a *Automaton, didSplit bool, err error) {
 					}
 				}
 				if err := c.commit(ms, results[i]); err != nil {
-					gspan.End()
-					return nil, false, err
-				}
-			}
-		} else {
-			e := c.exps[0]
-			for i, ms := range frontier {
-				if err := c.checkCtx(); err != nil {
-					gspan.End()
-					return nil, false, err
-				}
-				c.curIdx = genStart + i
-				if c.opt.TimeSplit {
-					if changed := timeSplitState(c.g, ms.Set, c.opt); len(changed) > 0 {
-						c.memo.invalidate(changed)
-						gspan.Event("restart", telemetry.Int("split_blocks", int64(len(changed))))
-						gspan.End()
-						return nil, true, nil
-					}
-				}
-				if err := c.commit(ms, e.expand(ms.Set)); err != nil {
 					gspan.End()
 					return nil, false, err
 				}
@@ -417,10 +419,13 @@ func (c *converter) convertOnce() (a *Automaton, didSplit bool, err error) {
 	return a, false, nil
 }
 
-// expandParallel fans one BFS generation out across the worker pool.
-// Workers claim frontier slots through an atomic cursor, each with its
-// own scratch expander; nothing is interned here, so no ordering is
-// imposed and no locks are taken on the hot path.
+// expandWindow expands one window of frontier states into the reused
+// results buffer, each slot's raw slice recycling the backing array of
+// the expansion it held before. A sequential window is expanded inline
+// by exps[0]; a parallel one fans out across the worker pool. Workers
+// claim slots through an atomic cursor, each with its own scratch
+// expander; nothing is interned here, so no ordering is imposed and no
+// locks are taken on the hot path.
 //
 // Two containment guarantees: on context cancellation workers stop
 // claiming new slots and the unconditional Wait drains them, so a
@@ -428,12 +433,21 @@ func (c *converter) convertOnce() (a *Automaton, didSplit bool, err error) {
 // captured and re-raised on the calling goroutine after the drain, so
 // the pipeline's phase runner can contain it (a goroutine panic would
 // otherwise kill the process no matter what the caller deferred).
-func (c *converter) expandParallel(frontier []*MetaState, gspan *telemetry.Span) []expansion {
-	workers := min(c.opt.Workers, len(frontier))
+func (c *converter) expandWindow(states []*MetaState, parallel bool, gspan *telemetry.Span) []expansion {
+	if len(c.results) < len(states) {
+		c.results = append(c.results, make([]expansion, len(states)-len(c.results))...)
+	}
+	results := c.results[:len(states)]
+	if !parallel {
+		for i, ms := range states {
+			results[i] = c.exps[0].expand(ms.Set, results[i].raw)
+		}
+		return results
+	}
+	workers := min(c.opt.Workers, len(states))
 	for len(c.exps) < workers {
 		c.exps = append(c.exps, newExpander(c.g, c.barriers, c.opt, &c.memo, &c.pool))
 	}
-	results := make([]expansion, len(frontier))
 	var next atomic.Int64
 	var panicked atomic.Pointer[workerPanic]
 	var wg sync.WaitGroup
@@ -463,10 +477,10 @@ func (c *converter) expandParallel(frontier []*MetaState, gspan *telemetry.Span)
 					return // canceled: stop claiming; commit loop reports
 				}
 				i := int(next.Add(1)) - 1
-				if i >= len(frontier) {
+				if i >= len(states) {
 					return
 				}
-				results[i] = e.expand(frontier[i].Set)
+				results[i] = e.expand(states[i].Set, results[i].raw)
 				claimed++
 			}
 		}(w, c.exps[w])
@@ -475,8 +489,18 @@ func (c *converter) expandParallel(frontier []*MetaState, gspan *telemetry.Span)
 	if p := panicked.Load(); p != nil {
 		panic(p.val)
 	}
-	c.parallelGens++
 	return results
+}
+
+// release returns the sets of expansions a §2.4 restart leaves
+// uncommitted to the pool, so the next pass reuses them. Every slot it
+// sees was refilled by this window: a canceled window can leave stale
+// slots holding committed sets, but cancellation is sticky, so the
+// commit loop's checkCtx returns before any restart could release them.
+func (c *converter) release(results []expansion) {
+	for _, exp := range results {
+		c.pool.put(exp.raw...)
+	}
 }
 
 // workerPanic carries the first panic value out of the worker pool.

@@ -182,8 +182,9 @@ type expander struct {
 	cur, nxt []*bitset.Set
 
 	// memoHits counts contribution lookups served by the memo; flushed
-	// into the converter's counters after each pass.
-	memoHits int64
+	// into the converter's counters after each pass. expansions counts
+	// expand calls, the deterministic measure of frontier work.
+	memoHits, expansions int64
 }
 
 func newExpander(g *cfg.Graph, barriers *bitset.Set, opt Options, memo *contribMemo, pool *setPool) *expander {
@@ -225,8 +226,10 @@ func (e *expander) contribFor(id int, within *bitset.Set) ([]*bitset.Set, bool) 
 // product of each member state's possible contributions. The result is
 // sorted in canonical order, so it is deterministic regardless of which
 // worker ran the expansion; ownership of the result sets passes to the
-// caller (commit retires them into the pool).
-func (e *expander) expand(set *bitset.Set) expansion {
+// caller (commit retires them into the pool). The result slice reuses
+// raw's backing array when it is large enough.
+func (e *expander) expand(set *bitset.Set, raw []*bitset.Set) expansion {
+	e.expansions++
 	cur, nxt := e.cur[:0], e.nxt[:0]
 	s0 := e.get()
 	s0.Reset()
@@ -254,8 +257,7 @@ func (e *expander) expand(set *bitset.Set) expansion {
 		cur, nxt = nxt, cur
 	})
 	bitset.Sort(cur)
-	raw := make([]*bitset.Set, len(cur))
-	copy(raw, cur)
+	raw = append(raw[:0], cur...)
 	e.cur, e.nxt = cur[:0], nxt[:0]
 	return expansion{raw: raw, overApprox: overApprox}
 }

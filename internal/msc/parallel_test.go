@@ -1,6 +1,8 @@
 package msc
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +10,7 @@ import (
 
 	"msc/internal/cfg"
 	"msc/internal/mimdc"
+	"msc/internal/mscerr"
 	"msc/internal/progen"
 )
 
@@ -55,9 +58,21 @@ func parallelMatrix() map[string]Options {
 	}
 }
 
+// forceWindow shrinks the frontier window so generations span many
+// windows, restoring it when the test ends.
+func forceWindow(t *testing.T, n int) {
+	t.Helper()
+	old := frontierWindow
+	frontierWindow = n
+	t.Cleanup(func() { frontierWindow = old })
+}
+
 // checkParallelEqual converts g sequentially and with a forced worker
-// pool and requires byte-identical automata (or identical errors, e.g.
-// the MaxStates guard firing at the same state count).
+// pool, at the default frontier window and again with windows of three
+// slots (so generations span many windows and restarts and guard trips
+// land mid-generation), and requires byte-identical automata (or
+// identical errors, e.g. the MaxStates guard firing at the same state
+// count).
 func checkParallelEqual(t *testing.T, name string, g *cfg.Graph, opt Options) {
 	t.Helper()
 	seqOpt := opt
@@ -66,22 +81,28 @@ func checkParallelEqual(t *testing.T, name string, g *cfg.Graph, opt Options) {
 	parOpt.Workers = 4
 
 	aSeq, errSeq := Convert(g, seqOpt)
-	aPar, errPar := Convert(g, parOpt)
-	switch {
-	case (errSeq == nil) != (errPar == nil):
-		t.Fatalf("%s: sequential err = %v, parallel err = %v", name, errSeq, errPar)
-	case errSeq != nil:
-		if errSeq.Error() != errPar.Error() {
-			t.Fatalf("%s: error text diverged:\nseq: %v\npar: %v", name, errSeq, errPar)
+	defaultWindow := frontierWindow
+	defer func() { frontierWindow = defaultWindow }()
+	for _, window := range []int{defaultWindow, 3} {
+		frontierWindow = window
+		aPar, errPar := Convert(g, parOpt)
+		label := fmt.Sprintf("%s (window %d)", name, window)
+		switch {
+		case (errSeq == nil) != (errPar == nil):
+			t.Fatalf("%s: sequential err = %v, parallel err = %v", label, errSeq, errPar)
+		case errSeq != nil:
+			if errSeq.Error() != errPar.Error() {
+				t.Fatalf("%s: error text diverged:\nseq: %v\npar: %v", label, errSeq, errPar)
+			}
+			continue
 		}
-		return
-	}
-	if fpSeq, fpPar := fingerprint(aSeq), fingerprint(aPar); fpSeq != fpPar {
-		t.Fatalf("%s: parallel automaton differs from sequential\n--- sequential ---\n%s\n--- parallel ---\n%s",
-			name, fpSeq, fpPar)
-	}
-	if err := Check(aPar); err != nil {
-		t.Fatalf("%s: parallel automaton fails Check: %v", name, err)
+		if fpSeq, fpPar := fingerprint(aSeq), fingerprint(aPar); fpSeq != fpPar {
+			t.Fatalf("%s: parallel automaton differs from sequential\n--- sequential ---\n%s\n--- parallel ---\n%s",
+				label, fpSeq, fpPar)
+		}
+		if err := Check(aPar); err != nil {
+			t.Fatalf("%s: parallel automaton fails Check: %v", label, err)
+		}
 	}
 }
 
@@ -178,5 +199,147 @@ func TestParallelDeterministicFigures(t *testing.T) {
 				checkParallelEqual(t, name+"/"+mode, g, opt)
 			})
 		}
+	}
+}
+
+// testConverter builds a converter as ConvertContext does, so a test can
+// run its passes one at a time and inspect where each stopped and how
+// much frontier work it did.
+func testConverter(ctx context.Context, g *cfg.Graph, opt Options) *converter {
+	opt.fillDefaults()
+	c := newConverter(g.Clone(), opt)
+	c.ctx = ctx
+	return c
+}
+
+// expansions is the number of meta states c's expanders expanded.
+func expansions(c *converter) int64 {
+	n := int64(0)
+	for _, e := range c.exps {
+		n += e.expansions
+	}
+	return n
+}
+
+// bfsLevels returns each state's BFS generation, as far as the first
+// `committed` commits of a determine it (-1 elsewhere). A state's
+// generation is one more than that of the state whose commit first
+// interned it; commits run in ID order, so one ID-order scan finds it.
+func bfsLevels(a *Automaton, committed int) []int {
+	level := make([]int, len(a.States))
+	for i := range level {
+		level[i] = -1
+	}
+	level[a.Start] = 0
+	for i := 0; i < committed; i++ {
+		for _, to := range a.States[i].Trans {
+			if level[to] < 0 {
+				level[to] = level[i] + 1
+			}
+		}
+	}
+	return level
+}
+
+// generationOffset is how far into its BFS generation the state c was
+// committing when its pass stopped.
+func generationOffset(c *converter) int {
+	level := bfsLevels(c.a, c.curIdx)
+	start := c.curIdx
+	for start > 0 && level[start-1] == level[c.curIdx] {
+		start--
+	}
+	return c.curIdx - start
+}
+
+// TestParallelTimeSplitLaterWindow pins the warm restart a windowed
+// frontier must get right: a §2.4 split that fires in a generation's
+// second or later window, after earlier windows of that generation were
+// committed, leaving the rest of its own window uncommitted.
+func TestParallelTimeSplitLaterWindow(t *testing.T) {
+	forceParallel(t)
+	const window = 3
+	forceWindow(t, window)
+	src, err := os.ReadFile("../../examples/mc/debug-guards.mc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := cfg.Simplify(cfg.MustBuild(string(src)))
+	opt := parallelMatrix()["timesplit"]
+	opt.Workers = 4
+
+	// Replay the restart chain pass by pass, as Convert does.
+	c := testConverter(context.Background(), g, opt)
+	later := 0
+	for {
+		_, didSplit, err := c.convertOnce()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !didSplit {
+			break
+		}
+		if generationOffset(c) >= window {
+			later++
+		}
+	}
+	if later == 0 {
+		t.Fatal("no time split restarted in a generation's later window")
+	}
+	checkParallelEqual(t, "debug-guards.mc/timesplit", g, opt)
+}
+
+// TestParallelBudgetTripBounded pins the fail-fast property of the
+// windowed frontier: a budget that trips mid-generation fails with the
+// same BudgetError at any worker count, and the worker pool expands at
+// most one window beyond what the sequential path expands to reach the
+// trip. The expansion count is deterministic, so the bound holds
+// exactly rather than on average.
+func TestParallelBudgetTripBounded(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/robust/deepnest.mc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := cfg.Simplify(cfg.MustBuild(string(src)))
+
+	states := DefaultOptions(false)
+	states.MaxStates = 4096
+	mem := DefaultOptions(false)
+	mem.MaxMemBytes = 400_000
+	for _, tc := range []struct {
+		resource string
+		opt      Options
+	}{{"meta_states", states}, {"mem_bytes", mem}} {
+		t.Run(tc.resource, func(t *testing.T) {
+			run := func(workers int) (*mscerr.BudgetError, int64) {
+				t.Helper()
+				opt := tc.opt
+				opt.Workers = workers
+				c := testConverter(context.Background(), g, opt)
+				_, _, err := c.convertOnce()
+				var be *mscerr.BudgetError
+				if !errors.As(err, &be) || be.Resource != tc.resource {
+					t.Fatalf("workers=%d: want a %s BudgetError, got %v", workers, tc.resource, err)
+				}
+				return be, expansions(c)
+			}
+			seqErr, seqExp := run(1)
+			parErr, parExp := run(4)
+			if *seqErr != *parErr {
+				t.Fatalf("BudgetError diverged:\nseq: %+v\npar: %+v", *seqErr, *parErr)
+			}
+			bound := seqExp + int64(frontierWindow)
+			if parExp > bound {
+				t.Fatalf("4 workers expanded %d states, want <= %d (sequential %d + one window)",
+					parExp, bound, seqExp)
+			}
+
+			// The program must make the bound bite: expanding the whole
+			// tripping generation, as one unbounded window does, exceeds it.
+			forceWindow(t, 1<<30)
+			if _, wide := run(4); wide <= bound {
+				t.Fatalf("whole-generation expansion = %d, within the bound %d; the trip is not mid-generation", wide, bound)
+			}
+		})
 	}
 }
