@@ -6,6 +6,7 @@
 package msc_test
 
 import (
+	"fmt"
 	"os"
 	"testing"
 
@@ -537,4 +538,30 @@ func BenchmarkSpawnHeavy(b *testing.B) {
 		metaExecs = res.MetaExecs
 	}
 	b.ReportMetric(float64(metaExecs), "metaexecs")
+}
+
+// BenchmarkSIMDStacks: the vector VM's per-PE instruction loops, one
+// worker, at the widths the engine actually runs. 64 and 1,024 PEs are
+// one chunk each (the output checks of compiled programs and the
+// service's run requests); 65,536 and 2^20 stripe 16 and 256 chunks.
+// divergent is push/binary/local-store traffic, stencil adds router
+// reads and barriers.
+func BenchmarkSIMDStacks(b *testing.B) {
+	for _, name := range []string{"divergent", "stencil"} {
+		src, err := os.ReadFile("examples/mc/" + name + ".mc")
+		if err != nil {
+			b.Fatal(err)
+		}
+		c := msc.MustCompile(string(src), msc.DefaultConfig())
+		for _, n := range []int{64, 1024, 65536, 1 << 20} {
+			b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := c.RunSIMD(msc.RunConfig{N: n, Workers: 1}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }

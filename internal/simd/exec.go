@@ -120,6 +120,8 @@ func (m *vm) execSlot(s *Slot, e bitset.Mask) error {
 		to, fto := int32(s.To), int32(s.FTo)
 		return m.forChunks(func(_ *wscratch, c int) error {
 			w0, w1 := m.chunkWords(c)
+			p0, tw := m.chunkSpan(c)
+			st := m.stk[c]
 			for w := w0; w < w1; w++ {
 				ew := e[w]
 				if ew == 0 {
@@ -136,7 +138,7 @@ func (m *vm) execSlot(s *Slot, e bitset.Mask) error {
 						return underflow(pe)
 					}
 					m.slens[pe] = l
-					cond := m.stacks[pe][l]
+					cond := st[int(l)*tw+pe-p0]
 					if ir.Truth(cond) {
 						m.npcs[pe] = to
 					} else {
@@ -188,6 +190,8 @@ func (m *vm) execSlot(s *Slot, e bitset.Mask) error {
 	case SlotRetBr:
 		return m.forChunks(func(_ *wscratch, c int) error {
 			w0, w1 := m.chunkWords(c)
+			p0, tw := m.chunkSpan(c)
+			rt := m.ret[c]
 			for w := w0; w < w1; w++ {
 				ew := e[w]
 				if ew == 0 {
@@ -204,7 +208,7 @@ func (m *vm) execSlot(s *Slot, e bitset.Mask) error {
 						return fmt.Errorf("PE %d return with empty return stack", pe)
 					}
 					m.rlens[pe] = l
-					m.npcs[pe] = m.rets[pe][l]
+					m.npcs[pe] = rt[int(l)*tw+pe-p0]
 				}
 			}
 			return nil
@@ -333,41 +337,6 @@ func (m *vm) commitChunk(ws *wscratch, c int) error {
 	return nil
 }
 
-func (m *vm) push(pe int, w ir.Word) {
-	l := m.slens[pe]
-	if int(l) == len(m.stacks[pe]) {
-		m.growStack(pe)
-	}
-	m.stacks[pe][l] = w
-	m.slens[pe] = l + 1
-}
-
-func (m *vm) pop(pe int) (ir.Word, error) {
-	l := m.slens[pe] - 1
-	if l < 0 {
-		return 0, underflow(pe)
-	}
-	m.slens[pe] = l
-	return m.stacks[pe][l], nil
-}
-
-// growStack doubles pe's evaluation stack backing. The new slice is
-// private to the PE; the old slab window is simply abandoned. Safe from
-// chunk workers: each PE belongs to exactly one chunk.
-func (m *vm) growStack(pe int) {
-	old := m.stacks[pe]
-	ns := make([]ir.Word, 2*len(old))
-	copy(ns, old)
-	m.stacks[pe] = ns
-}
-
-func (m *vm) growRet(pe int) {
-	old := m.rets[pe]
-	ns := make([]int32, 2*len(old))
-	copy(ns, old)
-	m.rets[pe] = ns
-}
-
 func (m *vm) slotAddr(addr int64) (int, error) {
 	if addr < 0 || addr >= int64(m.wpp) {
 		return 0, fmt.Errorf("memory address %d out of range [0,%d)", addr, m.wpp)
@@ -386,12 +355,14 @@ func underflow(pe int) error {
 // write-conflict outcomes (highest PE wins) match sequential execution.
 //
 // Every case carries its own bit loop with the stack manipulation
-// fused: a binary op is one depth load, an in-place store over the
-// second operand, and one depth store — no push/pop calls, no slice
-// header writeback. This is the hottest code in the repo; measure
-// before restructuring. Underflow checks collapse to one front check
-// per PE, which reports the same error sequential pop-by-pop execution
-// would.
+// fused into it. The chunk's tile, origin and row width are loaded once
+// per chunk; per PE, a stack entry is one multiply-add into the tile
+// and a push is one length compare before the store. A binary op is
+// one depth load, an in-place store over the second operand and one
+// depth store: no per-PE function call and no slice header. This is
+// the hottest code in the repo; measure before restructuring.
+// Underflow checks collapse to one front check per PE, which reports
+// the same error sequential pop-by-pop execution would.
 func (m *vm) execInstr(in ir.Instr, e bitset.Mask) error {
 	switch in.Op {
 	case ir.Nop:
@@ -400,7 +371,8 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask) error {
 		v := ir.Word(in.Imm)
 		return m.forChunks(func(_ *wscratch, c int) error {
 			w0, w1 := m.chunkWords(c)
-			slens, stacks := m.slens, m.stacks
+			p0, tw := m.chunkSpan(c)
+			slens, st := m.slens, m.stk[c]
 			for w := w0; w < w1; w++ {
 				ew := e[w]
 				base := w << 6
@@ -409,10 +381,12 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask) error {
 					ew &= ew - 1
 					pe := base + b
 					l := slens[pe]
-					if int(l) == len(stacks[pe]) {
-						m.growStack(pe)
+					i := int(l)*tw + pe - p0
+					if i >= len(st) {
+						st = growTile(st, tw)
+						m.stk[c] = st
 					}
-					stacks[pe][l] = v
+					st[i] = v
 					slens[pe] = l + 1
 				}
 			}
@@ -421,6 +395,8 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask) error {
 	case ir.Dup:
 		return m.forChunks(func(_ *wscratch, c int) error {
 			w0, w1 := m.chunkWords(c)
+			p0, tw := m.chunkSpan(c)
+			st := m.stk[c]
 			for w := w0; w < w1; w++ {
 				ew := e[w]
 				base := w << 6
@@ -432,11 +408,12 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask) error {
 					if l == 0 {
 						return underflow(pe)
 					}
-					if int(l) == len(m.stacks[pe]) {
-						m.growStack(pe)
+					i := int(l)*tw + pe - p0
+					if i >= len(st) {
+						st = growTile(st, tw)
+						m.stk[c] = st
 					}
-					st := m.stacks[pe]
-					st[l] = st[l-1]
+					st[i] = st[i-tw]
 					m.slens[pe] = l + 1
 				}
 			}
@@ -469,7 +446,8 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask) error {
 		}
 		return m.forChunks(func(_ *wscratch, c int) error {
 			w0, w1 := m.chunkWords(c)
-			slens, stacks, mem, wpp := m.slens, m.stacks, m.mem, m.wpp
+			p0, tw := m.chunkSpan(c)
+			slens, st, mem, wpp := m.slens, m.stk[c], m.mem, m.wpp
 			for w := w0; w < w1; w++ {
 				ew := e[w]
 				base := w << 6
@@ -478,10 +456,12 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask) error {
 					ew &= ew - 1
 					pe := base + b
 					l := slens[pe]
-					if int(l) == len(stacks[pe]) {
-						m.growStack(pe)
+					i := int(l)*tw + pe - p0
+					if i >= len(st) {
+						st = growTile(st, tw)
+						m.stk[c] = st
 					}
-					stacks[pe][l] = mem[pe*wpp+a]
+					st[i] = mem[pe*wpp+a]
 					slens[pe] = l + 1
 				}
 			}
@@ -494,7 +474,8 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask) error {
 		}
 		return m.forChunks(func(_ *wscratch, c int) error {
 			w0, w1 := m.chunkWords(c)
-			slens, stacks, mem, wpp := m.slens, m.stacks, m.mem, m.wpp
+			p0, tw := m.chunkSpan(c)
+			slens, st, mem, wpp := m.slens, m.stk[c], m.mem, m.wpp
 			for w := w0; w < w1; w++ {
 				ew := e[w]
 				base := w << 6
@@ -506,7 +487,7 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask) error {
 					if l < 0 {
 						return underflow(pe)
 					}
-					mem[pe*wpp+a] = stacks[pe][l]
+					mem[pe*wpp+a] = st[int(l)*tw+pe-p0]
 					slens[pe] = l
 				}
 			}
@@ -518,6 +499,8 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask) error {
 		imm := in.Imm
 		return m.forChunks(func(_ *wscratch, c int) error {
 			w0, w1 := m.chunkWords(c)
+			p0, tw := m.chunkSpan(c)
+			st := m.stk[c]
 			for w := w0; w < w1; w++ {
 				ew := e[w]
 				base := w << 6
@@ -529,12 +512,12 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask) error {
 					if l == 0 {
 						return underflow(pe)
 					}
-					st := m.stacks[pe]
-					a, err := m.slotAddr(imm + int64(st[l-1]))
+					i := int(l-1)*tw + pe - p0
+					a, err := m.slotAddr(imm + int64(st[i]))
 					if err != nil {
 						return err
 					}
-					st[l-1] = m.mem[pe*m.wpp+a] // in place: pop idx, push val
+					st[i] = m.mem[pe*m.wpp+a] // in place: pop idx, push val
 				}
 			}
 			return nil
@@ -543,6 +526,8 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask) error {
 		imm := in.Imm
 		return m.forChunks(func(_ *wscratch, c int) error {
 			w0, w1 := m.chunkWords(c)
+			p0, tw := m.chunkSpan(c)
+			st := m.stk[c]
 			for w := w0; w < w1; w++ {
 				ew := e[w]
 				base := w << 6
@@ -554,8 +539,8 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask) error {
 					if l < 2 {
 						return underflow(pe)
 					}
-					st := m.stacks[pe]
-					v, idx := st[l-1], st[l-2]
+					i := int(l-1)*tw + pe - p0
+					v, idx := st[i], st[i-tw]
 					a, err := m.slotAddr(imm + int64(idx))
 					if err != nil {
 						return err
@@ -577,6 +562,8 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask) error {
 		// push.
 		return m.forChunks(func(_ *wscratch, c int) error {
 			w0, w1 := m.chunkWords(c)
+			p0, tw := m.chunkSpan(c)
+			st := m.stk[c]
 			for w := w0; w < w1; w++ {
 				ew := e[w]
 				base := w << 6
@@ -588,17 +575,21 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask) error {
 					if l == 0 {
 						return underflow(pe)
 					}
-					st := m.stacks[pe]
-					st[l-1] = m.mem[peIndex(st[l-1], m.n)*m.wpp+a]
+					i := int(l-1)*tw + pe - p0
+					st[i] = m.mem[peIndex(st[i], m.n)*m.wpp+a]
 				}
 			}
 			return nil
 		})
 	case ir.StRemote:
 		return m.stRemote(in, e)
-	case ir.IProc:
+	case ir.IProc, ir.NProc:
+		// IProc pushes the PE's own index, NProc the machine width.
+		iproc, nproc := in.Op == ir.IProc, ir.Word(m.n)
 		return m.forChunks(func(_ *wscratch, c int) error {
 			w0, w1 := m.chunkWords(c)
+			p0, tw := m.chunkSpan(c)
+			st := m.stk[c]
 			for w := w0; w < w1; w++ {
 				ew := e[w]
 				base := w << 6
@@ -607,31 +598,16 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask) error {
 					ew &= ew - 1
 					pe := base + b
 					l := m.slens[pe]
-					if int(l) == len(m.stacks[pe]) {
-						m.growStack(pe)
+					i := int(l)*tw + pe - p0
+					if i >= len(st) {
+						st = growTile(st, tw)
+						m.stk[c] = st
 					}
-					m.stacks[pe][l] = ir.Word(pe)
-					m.slens[pe] = l + 1
-				}
-			}
-			return nil
-		})
-	case ir.NProc:
-		v := ir.Word(m.n)
-		return m.forChunks(func(_ *wscratch, c int) error {
-			w0, w1 := m.chunkWords(c)
-			for w := w0; w < w1; w++ {
-				ew := e[w]
-				base := w << 6
-				for ew != 0 {
-					b := bits.TrailingZeros64(ew)
-					ew &= ew - 1
-					pe := base + b
-					l := m.slens[pe]
-					if int(l) == len(m.stacks[pe]) {
-						m.growStack(pe)
+					v := nproc
+					if iproc {
+						v = ir.Word(pe)
 					}
-					m.stacks[pe][l] = v
+					st[i] = v
 					m.slens[pe] = l + 1
 				}
 			}
@@ -641,6 +617,8 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask) error {
 		r := int32(in.Imm)
 		return m.forChunks(func(_ *wscratch, c int) error {
 			w0, w1 := m.chunkWords(c)
+			p0, tw := m.chunkSpan(c)
+			rt := m.ret[c]
 			for w := w0; w < w1; w++ {
 				ew := e[w]
 				base := w << 6
@@ -649,10 +627,12 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask) error {
 					ew &= ew - 1
 					pe := base + b
 					l := m.rlens[pe]
-					if int(l) == len(m.rets[pe]) {
-						m.growRet(pe)
+					i := int(l)*tw + pe - p0
+					if i >= len(rt) {
+						rt = growTile(rt, tw)
+						m.ret[c] = rt
 					}
-					m.rets[pe][l] = r
+					rt[i] = r
 					m.rlens[pe] = l + 1
 				}
 			}
@@ -664,7 +644,8 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask) error {
 		case ir.IsBinary(op):
 			return m.forChunks(func(_ *wscratch, c int) error {
 				w0, w1 := m.chunkWords(c)
-				slens, stacks := m.slens, m.stacks
+				p0, tw := m.chunkSpan(c)
+				slens, st := m.slens, m.stk[c]
 				for w := w0; w < w1; w++ {
 					ew := e[w]
 					base := w << 6
@@ -676,8 +657,8 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask) error {
 						if l < 2 {
 							return underflow(pe)
 						}
-						st := stacks[pe]
-						st[l-2] = ir.EvalBinary(op, st[l-2], st[l-1])
+						i := int(l-2)*tw + pe - p0
+						st[i] = ir.EvalBinary(op, st[i], st[i+tw])
 						slens[pe] = l - 1
 					}
 				}
@@ -686,6 +667,8 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask) error {
 		case ir.IsUnary(op):
 			return m.forChunks(func(_ *wscratch, c int) error {
 				w0, w1 := m.chunkWords(c)
+				p0, tw := m.chunkSpan(c)
+				st := m.stk[c]
 				for w := w0; w < w1; w++ {
 					ew := e[w]
 					base := w << 6
@@ -697,8 +680,8 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask) error {
 						if l == 0 {
 							return underflow(pe)
 						}
-						st := m.stacks[pe]
-						st[l-1] = ir.EvalUnary(op, st[l-1])
+						i := int(l-1)*tw + pe - p0
+						st[i] = ir.EvalUnary(op, st[i])
 					}
 				}
 				return nil
@@ -719,6 +702,8 @@ func (m *vm) stMono(in ir.Instr, e bitset.Mask) error {
 	}
 	err = m.forChunks(func(_ *wscratch, c int) error {
 		w0, w1 := m.chunkWords(c)
+		p0, tw := m.chunkSpan(c)
+		st := m.stk[c]
 		for w := w0; w < w1; w++ {
 			ew := e[w]
 			base := w << 6
@@ -730,7 +715,7 @@ func (m *vm) stMono(in ir.Instr, e bitset.Mask) error {
 				if l < 0 {
 					return underflow(pe)
 				}
-				m.monoVal[c] = m.stacks[pe][l]
+				m.monoVal[c] = st[int(l)*tw+pe-p0]
 				m.monoAny[c] = true
 				m.slens[pe] = l
 			}
@@ -748,12 +733,8 @@ func (m *vm) stMono(in ir.Instr, e bitset.Mask) error {
 		return err
 	}
 	return m.forChunks(func(_ *wscratch, c int) error {
-		w0, w1 := m.chunkWords(c)
-		p0, p1 := w0<<6, w1<<6
-		if p1 > m.n {
-			p1 = m.n
-		}
-		for pe := p0; pe < p1; pe++ {
+		p0, tw := m.chunkSpan(c)
+		for pe := p0; pe < p0+tw; pe++ {
 			m.mem[pe*m.wpp+a] = val
 		}
 		return nil
@@ -773,6 +754,8 @@ func (m *vm) stRemote(in ir.Instr, e bitset.Mask) error {
 		buf := m.remBuf[c][:0]
 		defer func() { m.remBuf[c] = buf }()
 		w0, w1 := m.chunkWords(c)
+		p0, tw := m.chunkSpan(c)
+		st := m.stk[c]
 		for w := w0; w < w1; w++ {
 			ew := e[w]
 			base := w << 6
@@ -784,8 +767,8 @@ func (m *vm) stRemote(in ir.Instr, e bitset.Mask) error {
 				if l < 2 {
 					return underflow(pe)
 				}
-				st := m.stacks[pe]
-				v, p := st[l-1], st[l-2]
+				i := int(l-1)*tw + pe - p0
+				v, p := st[i], st[i-tw]
 				m.slens[pe] = l - 2
 				buf = append(buf, remWrite{idx: peIndex(p, m.n)*m.wpp + a, val: v})
 			}

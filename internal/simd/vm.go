@@ -257,7 +257,8 @@ func prepare(p *Program, conf Config) (Config, int, error) {
 }
 
 // vm is the struct-of-arrays SIMD machine. PE state lives in flat
-// parallel arrays (pcs/npcs, one memory slab indexed pe*words+addr) and
+// parallel arrays (pcs/npcs, one memory slab indexed pe*words+addr,
+// stack depths), stack contents in per-chunk depth-major tiles, and
 // per-MIMD-state occupancy masks with 64 PEs per word, so per-slot
 // enablement is a word OR of the guard's occupied member states and the
 // enable census is a running occupancy count — no per-PE scan. Slots
@@ -278,15 +279,18 @@ type vm struct {
 	pcs  []int32   // committed pc per PE
 	npcs []int32   // next pc per PE; equals pcs outside a body
 
-	// Evaluation and return stacks: fixed full-capacity backing slices
-	// (len == cap, growth reallocates) with the logical depth kept in
-	// separate int32 arrays. Push/pop then never write a slice header
-	// back — one data store and one int32 store, no write barrier —
-	// which measures ~2x faster than append/reslice at mega widths.
-	stacks [][]ir.Word // evaluation stack backing per PE
-	slens  []int32     // evaluation stack depth per PE
-	rets   [][]int32   // return stack backing per PE
-	rlens  []int32     // return stack depth per PE
+	// Evaluation and return stacks: one depth-major tile per chunk, so
+	// depth d of PE pe in chunk c (first PE p0, width PEs) is
+	// stk[c][d*width+pe-p0], with the depth itself in slens/rlens. A
+	// push is one multiply-add, one length compare, one data store and
+	// one int32 store: no per-PE slice header to load or write back.
+	// Tiles start empty and double their rows when a push outgrows them
+	// (growTile), so memory follows each chunk's own high-water depth.
+	// Only the worker that owns a chunk for a pass touches its tiles.
+	stk   [][]ir.Word // evaluation stack tile per chunk
+	slens []int32     // evaluation stack depth per PE
+	ret   [][]int32   // return stack tile per chunk
+	rlens []int32     // return stack depth per PE
 
 	occ    []bitset.Mask // per MIMD state: which PEs' committed pc is there
 	occCnt []int64       // per MIMD state: popcount of occ, maintained incrementally
@@ -332,13 +336,11 @@ func newVM(p *Program, conf Config, entry int) *vm {
 		nw:   bitset.MaskWords(n),
 		cw:   chunkPEs / 64,
 
-		mem:    make([]ir.Word, n*p.Words),
-		pcs:    make([]int32, n),
-		npcs:   make([]int32, n),
-		stacks: make([][]ir.Word, n),
-		slens:  make([]int32, n),
-		rets:   make([][]int32, n),
-		rlens:  make([]int32, n),
+		mem:   make([]ir.Word, n*p.Words),
+		pcs:   make([]int32, n),
+		npcs:  make([]int32, n),
+		slens: make([]int32, n),
+		rlens: make([]int32, n),
 
 		occ:    make([]bitset.Mask, p.NStates),
 		occCnt: make([]int64, p.NStates),
@@ -355,18 +357,6 @@ func newVM(p *Program, conf Config, entry int) *vm {
 	}
 	for s := range m.occ {
 		m.occ[s] = bitset.NewMask(n)
-	}
-	// Stack backings are carved out of two contiguous slabs,
-	// stackCap/retCap entries per PE: deep enough for every corpus
-	// program, so the hot path never allocates. A PE that outgrows its
-	// window gets a private doubled slice (growStack/growRet); the slab
-	// windows never overlap, so no PE can overwrite a neighbor.
-	const stackCap, retCap = 8, 4
-	sslab := make([]ir.Word, n*stackCap)
-	rslab := make([]int32, n*retCap)
-	for i := 0; i < n; i++ {
-		m.stacks[i] = sslab[i*stackCap : (i+1)*stackCap]
-		m.rets[i] = rslab[i*retCap : (i+1)*retCap]
 	}
 	ia := conf.InitialActive
 	m.occ[entry].FillFirst(ia)
@@ -399,6 +389,8 @@ func newVM(p *Program, conf Config, entry int) *vm {
 	if m.nChunks < 1 {
 		m.nChunks = 1
 	}
+	m.stk = make([][]ir.Word, m.nChunks)
+	m.ret = make([][]int32, m.nChunks)
 	m.monoAny = make([]bool, m.nChunks)
 	m.monoVal = make([]ir.Word, m.nChunks)
 	m.remBuf = make([][]remWrite, m.nChunks)

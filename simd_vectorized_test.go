@@ -243,3 +243,33 @@ func TestVectorizedWorkersMatchGOMAXPROCS(t *testing.T) {
 		}
 	}
 }
+
+// TestVectorizedDeepStacks gates stack growth. In deepstack.mc a few
+// PEs push 20 evaluation operands and 17-21 return tokens while their
+// neighbours stay at depth two or less, so every chunk that holds a
+// deep PE grows its stacks several times mid-run. Any value a growth
+// drops or moves shows up as a Mem difference against the reference.
+// Widths cover one PE, one partial mask word, one PE past a production
+// chunk, and sixteen production chunks; small chunks put deep and
+// shallow PEs into many separately grown chunks.
+func TestVectorizedDeepStacks(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("testdata", "robust", "deepstack.mc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	widths := []int{1, 63, 4097}
+	if !testing.Short() {
+		widths = append(widths, 65536)
+	}
+	for _, chunks := range []string{"default", "small"} {
+		chunks := chunks
+		t.Run(chunks+"-chunks", func(t *testing.T) {
+			if chunks == "small" {
+				smallChunks(t)
+			}
+			for _, n := range widths {
+				vecDiff(t, "deepstack.mc", string(src), n, 0)
+			}
+		})
+	}
+}
